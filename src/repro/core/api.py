@@ -25,7 +25,7 @@ from typing import Any, Generator
 from repro.core.codecs import CodecConfig, real_compress, real_decompress
 from repro.core.designs import CompressionDesign, Placement, parse_design_spec
 from repro.core.header import HEADER_SIZE, PedalHeader
-from repro.core.mempool import MemoryPool, get_scratch_pool
+from repro.core.mempool import MemoryPool
 from repro.core.registry import ResolvedDesign, cengine_core_algo, resolve
 from repro.doca.sdk import DocaSession
 from repro.dpu.device import BlueFieldDPU
@@ -94,6 +94,8 @@ class PedalConfig:
     codecs: CodecConfig = field(default_factory=CodecConfig)
     # Pool sizing: buffers pre-mapped at PEDAL_init (paper §III-C).
     pool_buffers: int = 4
+    # Also the bound on a decoded message's size (decompress raises
+    # OutputOverflowError past it).
     max_message_bytes: int = 128 << 20
     # Engine-job retry budget + backoff; past it, jobs escalate to the
     # SoC pipeline (runtime mirror of the capability fallback).
@@ -188,13 +190,6 @@ class PedalContext:
         """
         breakdown = TimeBreakdown()
         if not self._initialized:
-            # Host-side analogue of the buffer prewarm below: seed the
-            # real scratch pool (vectorized kernels' pack buffers) so
-            # steady-state compress calls allocate nothing.  Wall-clock
-            # only — no simulated time is charged.
-            get_scratch_pool().prewarm(
-                self.config.max_message_bytes + 16, count=2
-            )
             policy = self.config.retry
             metrics = get_metrics()
             with device_span(
@@ -408,7 +403,9 @@ class PedalContext:
 
         algo = header.algo
         assert algo is not None
-        data, stage_bytes = real_decompress(algo, payload)
+        data, stage_bytes = real_decompress(
+            algo, payload, self.config.max_message_bytes
+        )
         actual_out = data.nbytes if hasattr(data, "nbytes") else len(data)
         sim_out = float(actual_out if sim_bytes is None else sim_bytes)
         scale = sim_out / actual_out if actual_out else 1.0

@@ -8,10 +8,10 @@ a message, given the device, the data kind, and the message size, by
 minimising the cost model's predicted compress+transfer+decompress time.
 
 The chooser is deliberately simple and fully explainable: it evaluates
-each candidate design's predicted pipeline time with the same
-calibration the simulator charges, assuming a caller-supplied expected
-compression ratio (measurable from a data sample via
-:func:`estimate_ratio`).
+each candidate design's predicted pipeline time with
+:class:`~repro.select.CostModel` (the closed form of what the simulator
+charges), assuming a caller-supplied expected compression ratio
+(measurable from a data sample via :func:`estimate_ratio`).
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from repro.core.designs import (
     CompressionDesign,
     Placement,
 )
-from repro.core.registry import cengine_core_algo, resolve
 from repro.dpu.device import BlueFieldDPU
-from repro.dpu.specs import Algo, Direction
+from repro.dpu.specs import Direction
+from repro.select.model import PATH_CENGINE, PATH_SOC, CostModel
 
 __all__ = ["DesignChoice", "choose_design", "estimate_ratio", "predict_pipeline_time"]
 
@@ -57,40 +57,15 @@ def estimate_ratio(data: bytes, sample_bytes: int = 16384) -> float:
     return max(len(sample) / max(len(compressed), 1), 1.0)
 
 
-def _codec_seconds(
-    device: BlueFieldDPU,
-    design: CompressionDesign,
-    direction: Direction,
-    sim_bytes: float,
+def _wire_seconds(
+    sender: BlueFieldDPU, receiver: BlueFieldDPU, wire_bytes: float
 ) -> float:
-    """Predicted codec time for one direction under Table III resolution."""
-    cal = device.cal
-    resolved = resolve(device, design)
-    engine = resolved.engine_for(direction)
-
-    if design.algo is Algo.SZ3:
-        total = cal.soc_time(Algo.SZ3, direction, sim_bytes)
-        if design.placement is Placement.SOC:
-            return total
-        entropy = (1.0 - cal.sz3_lossless_fraction) * total
-        stage = sim_bytes / 3.0  # nominal payload share; refined by data
-        if engine == "cengine":
-            return entropy + cal.cengine_time(Algo.DEFLATE, direction, stage)
-        return entropy + stage / cal.sz3_backend_deflate_throughput
-
-    core = cengine_core_algo(design.algo)
-    if engine == "cengine":
-        seconds = cal.cengine_time(core, direction, sim_bytes)
-        if design.algo is Algo.ZLIB:
-            seconds += cal.checksum_time(sim_bytes)
-        return seconds
-    if design.placement is Placement.CENGINE:
-        # Fallback pipeline: engine-shaped work on cores.
-        seconds = cal.soc_time(core, direction, sim_bytes)
-        if design.algo is Algo.ZLIB:
-            seconds += cal.checksum_time(sim_bytes)
-        return seconds
-    return cal.soc_time(design.algo, direction, sim_bytes)
+    """Time to move ``wire_bytes`` over the sender→receiver link."""
+    latency = max(sender.spec.nic.base_latency_s, receiver.spec.nic.base_latency_s)
+    bandwidth = min(
+        sender.spec.nic.bytes_per_second, receiver.spec.nic.bytes_per_second
+    )
+    return latency + wire_bytes / bandwidth
 
 
 def predict_pipeline_time(
@@ -101,15 +76,16 @@ def predict_pipeline_time(
     expected_ratio: float,
 ) -> DesignChoice:
     """Predicted compress -> wire -> decompress time for one message."""
-    compress = _codec_seconds(sender, design, Direction.COMPRESS, sim_bytes)
-    decompress = _codec_seconds(receiver, design, Direction.DECOMPRESS, sim_bytes)
-    bandwidth = min(
-        sender.spec.nic.bytes_per_second, receiver.spec.nic.bytes_per_second
+    path = PATH_CENGINE if design.placement is Placement.CENGINE else PATH_SOC
+    compress = CostModel(sender).path_seconds(
+        design.algo, Direction.COMPRESS, sim_bytes, path
     )
-    latency = max(
-        sender.spec.nic.base_latency_s, receiver.spec.nic.base_latency_s
+    decompress = CostModel(receiver).path_seconds(
+        design.algo, Direction.DECOMPRESS, sim_bytes, path
     )
-    transfer = latency + (sim_bytes / max(expected_ratio, 1e-9)) / bandwidth
+    transfer = _wire_seconds(
+        sender, receiver, sim_bytes / max(expected_ratio, 1e-9)
+    )
     return DesignChoice(
         design=design,
         predicted_seconds=compress + transfer + decompress,
@@ -143,12 +119,6 @@ def choose_design(
         key=lambda choice: choice.predicted_seconds,
     )
     if include_raw:
-        bandwidth = min(
-            sender.spec.nic.bytes_per_second, receiver.spec.nic.bytes_per_second
-        )
-        latency = max(
-            sender.spec.nic.base_latency_s, receiver.spec.nic.base_latency_s
-        )
-        raw_seconds = latency + sim_bytes / bandwidth
+        raw_seconds = _wire_seconds(sender, receiver, sim_bytes)
         ranked = [c for c in ranked if c.predicted_seconds < raw_seconds] or ranked[:1]
     return ranked

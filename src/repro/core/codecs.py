@@ -23,7 +23,7 @@ from repro.core.designs import CompressionDesign, Placement
 from repro.core.sz3_hybrid import hybrid_sz3_compress
 from repro.core.zlib_hybrid import hybrid_zlib_compress, hybrid_zlib_decompress
 from repro.dpu.specs import Algo
-from repro.errors import UnsupportedDataError
+from repro.errors import OutputOverflowError, UnsupportedDataError
 from repro.util.kernels import kernel_mode
 
 __all__ = [
@@ -160,34 +160,53 @@ def _real_compress_uncached(
     raise UnsupportedDataError(f"no real codec for algorithm {algo}")
 
 
-def real_decompress(algo: Algo, payload: bytes) -> tuple[Any, int | None]:
+def real_decompress(
+    algo: Algo, payload: bytes, max_output: int | None = None
+) -> tuple[Any, int | None]:
     """Decode ``payload``; returns ``(data, cengine_stage_bytes)``.
 
     ``cengine_stage_bytes`` is the intermediate the C-Engine stage
     would process on the receive side (zlib's DEFLATE payload, SZ3's
     backend blob input) or None for single-stage formats.  Memoised like
-    :func:`real_compress`.
+    :func:`real_compress`; a decoded SZ3 array is returned read-only
+    because every caller of the same payload shares it.
+
+    ``max_output`` bounds the decoded size in bytes: the DEFLATE, zlib,
+    LZ4 and AC decoders stop as soon as they pass it, and a cached
+    result (or an SZ3 array, whose backend decode is not bounded) is
+    checked against it, so an oversized output always raises
+    :class:`~repro.errors.OutputOverflowError`.
     """
     key = (algo, kernel_mode(), _fingerprint(payload))
-    cached = _DECOMPRESS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _real_decompress_uncached(algo, payload)
-    if len(_DECOMPRESS_CACHE) >= _CACHE_LIMIT:
-        _DECOMPRESS_CACHE.clear()
-    _DECOMPRESS_CACHE[key] = result
+    result = _DECOMPRESS_CACHE.get(key)
+    if result is None:
+        result = _real_decompress_uncached(algo, payload, max_output)
+        if isinstance(result[0], np.ndarray):
+            result[0].flags.writeable = False
+        if len(_DECOMPRESS_CACHE) >= _CACHE_LIMIT:
+            _DECOMPRESS_CACHE.clear()
+        _DECOMPRESS_CACHE[key] = result
+    data = result[0]
+    out_bytes = data.nbytes if isinstance(data, np.ndarray) else len(data)
+    if max_output is not None and out_bytes > max_output:
+        raise OutputOverflowError(
+            f"decompressed output of {out_bytes} bytes exceeds limit of "
+            f"{max_output} bytes"
+        )
     return result
 
 
-def _real_decompress_uncached(algo: Algo, payload: bytes) -> tuple[Any, int | None]:
+def _real_decompress_uncached(
+    algo: Algo, payload: bytes, max_output: int | None
+) -> tuple[Any, int | None]:
     if algo is Algo.DEFLATE:
-        return deflate_decompress(payload), None
+        return deflate_decompress(payload, max_output), None
     if algo is Algo.LZ4:
-        return lz4_decompress(payload), None
+        return lz4_decompress(payload, max_output), None
     if algo is Algo.AC:
-        return ac_decompress(payload), None
+        return ac_decompress(payload, max_output), None
     if algo is Algo.ZLIB:
-        data, sizes = hybrid_zlib_decompress(payload)
+        data, sizes = hybrid_zlib_decompress(payload, max_output)
         return data, sizes.deflate_payload_bytes
     if algo is Algo.SZ3:
         array, sizes = SZ3Compressor.decompress_stages(payload)

@@ -17,18 +17,6 @@ pool never issued (a *foreign* buffer) both raise
 corrupting ``_free``.  ``drain()`` likewise refuses to tear the pool
 down while buffers are outstanding — resetting the totals under a live
 acquirer would leak the buffer out of the unmapped-tracking.
-
-Two pools live under this module:
-
-* :class:`MemoryPool` — the *simulated* DOCA buffer pool above, charged
-  in device time.
-* the **host-side scratch pool** (re-exported from
-  :mod:`repro.util.scratch`) — real ``numpy`` byte buffers reused by the
-  vectorized codec kernels (bit emission pack buffers, parallel-chunk
-  staging), charged in wall-clock time.  It enforces the same
-  acquire/release discipline (:class:`ScratchLifecycleError` on double
-  or foreign release) and zeroes every buffer on acquire so one
-  request's plaintext can never leak into another's scratch space.
 """
 
 from __future__ import annotations
@@ -39,25 +27,8 @@ from typing import Generator
 from repro.doca.buffers import BufInventory, DocaBuffer
 from repro.errors import PoolLifecycleError
 from repro.obs import device_span, get_metrics
-from repro.util.scratch import (
-    ScratchLifecycleError,
-    ScratchPool,
-    ScratchStats,
-    get_scratch_pool,
-    scratch_lease,
-    set_scratch_pool,
-)
 
-__all__ = [
-    "MemoryPool",
-    "PoolStats",
-    "ScratchLifecycleError",
-    "ScratchPool",
-    "ScratchStats",
-    "get_scratch_pool",
-    "scratch_lease",
-    "set_scratch_pool",
-]
+__all__ = ["MemoryPool", "PoolStats"]
 
 
 @dataclass

@@ -53,15 +53,21 @@ def hybrid_zlib_compress(
     )
 
 
-def hybrid_zlib_decompress(stream: bytes) -> tuple[bytes, ZlibStageSizes]:
-    """Stage-split zlib decompression; returns (data, stage sizes)."""
+def hybrid_zlib_decompress(
+    stream: bytes, max_output: int | None = None
+) -> tuple[bytes, ZlibStageSizes]:
+    """Stage-split zlib decompression; returns (data, stage sizes).
+
+    ``max_output`` bounds the inflated size (see
+    :func:`~repro.algorithms.deflate.deflate_decompress`).
+    """
     # SoC stage (header side): parse/validate RFC 1950 framing.
     parse_zlib_header(stream)
     if len(stream) < 6:
         raise CorruptStreamError("zlib stream shorter than header + trailer")
     payload = stream[2:-4]
     # C-Engine stage: inflate the DEFLATE payload.
-    data = deflate_decompress(payload)
+    data = deflate_decompress(payload, max_output)
     # SoC stage (trailer side): adler32 verification.
     stored = int.from_bytes(stream[-4:], "big")
     actual = adler32(data)

@@ -12,9 +12,8 @@ the dominant cost when emitting a megabyte-scale token stream.  The
 vectorized kernel combines each code into a pre-shifted 64-bit lane and
 scatters whole *byte* planes with ``np.bitwise_or.at`` —
 ``ceil((maxlen + 7) / 8)`` passes (at most five for 32-bit codes)
-instead of one pass per bit.  Its pack buffer is leased from the
-host-side scratch pool (:mod:`repro.util.scratch`), so steady-state
-emission does not allocate.  The scalar reference (one
+instead of one pass per bit.  Its pack buffer is a fresh zeroed
+array per call.  The scalar reference (one
 :meth:`BitWriter.write_bits` call per code) is selected by
 ``REPRO_SCALAR_KERNELS`` / ``force_kernel_mode`` and is byte-identical.
 """
@@ -25,7 +24,6 @@ import numpy as np
 
 from repro.errors import CorruptStreamError
 from repro.util.kernels import scalar_kernels
-from repro.util.scratch import get_scratch_pool
 
 __all__ = ["BitWriter", "BitReader", "reverse_bits"]
 
@@ -119,9 +117,8 @@ class BitWriter:
         # Byte-plane scatter: each code, pre-shifted into position within
         # its first output byte, occupies at most maxlen + 7 bits of one
         # 64-bit lane — ceil((maxlen + 7) / 8) bitwise_or.at passes total.
-        # A zeroed pack buffer comes from the scratch pool (with plane
-        # slack so the top, all-zero planes of short codes stay in
-        # bounds) instead of a fresh allocation per block.
+        # The pack buffer carries plane slack so the top, all-zero
+        # planes of short codes stay in bounds.
         live = np.flatnonzero(lengths)
         base = base[live]
         val = (codes[live].astype(np.uint64)
@@ -129,26 +126,22 @@ class BitWriter:
         val <<= (base & 7).astype(np.uint64)
         byte_idx = base >> 3
         nplanes = (maxlen + 7 + 7) // 8
-        pool = get_scratch_pool()
-        buf = pool.acquire(nbytes + nplanes)
-        try:
-            if start:
-                buf[0] = self._acc & 0xFF
-            for k in range(nplanes):
-                plane = ((val >> np.uint64(8 * k)) & np.uint64(0xFF)).astype(np.uint8)
-                np.bitwise_or.at(buf, byte_idx + k, plane)
+        buf = np.zeros(nbytes + nplanes, np.uint8)
+        if start:
+            buf[0] = self._acc & 0xFF
+        for k in range(nplanes):
+            plane = ((val >> np.uint64(8 * k)) & np.uint64(0xFF)).astype(np.uint8)
+            np.bitwise_or.at(buf, byte_idx + k, plane)
 
-            end_bits = (start + total) % 8
-            if end_bits:
-                self._out += buf[: nbytes - 1].tobytes()
-                self._acc = int(buf[nbytes - 1])
-                self._nbits = end_bits
-            else:
-                self._out += buf[:nbytes].tobytes()
-                self._acc = 0
-                self._nbits = 0
-        finally:
-            pool.release(buf)
+        end_bits = (start + total) % 8
+        if end_bits:
+            self._out += buf[: nbytes - 1].tobytes()
+            self._acc = int(buf[nbytes - 1])
+            self._nbits = end_bits
+        else:
+            self._out += buf[:nbytes].tobytes()
+            self._acc = 0
+            self._nbits = 0
 
     def _write_code_array_scalar(self, codes: np.ndarray, lengths: np.ndarray) -> None:
         """Scalar reference for :meth:`write_code_array`: one

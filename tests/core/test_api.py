@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PedalConfig, PedalContext, Placement, design
 from repro.core.api import (
@@ -160,3 +162,84 @@ class TestPaperFunctionApi:
         assert dec.data == text_payload
         run_sim(env, PEDAL_finalize(ctx))
         assert not ctx.is_initialized
+
+
+class TestBoundedDecode:
+    """``max_message_bytes`` bounds what ``decompress`` will inflate."""
+
+    @staticmethod
+    def _bomb() -> bytes:
+        import zlib
+
+        from repro.core.header import PedalHeader
+
+        # stdlib raw DEFLATE of 1 MiB of zeros: ~1 KiB on the wire.
+        packer = zlib.compressobj(9, zlib.DEFLATED, -15)
+        payload = packer.compress(bytes(1 << 20)) + packer.flush()
+        return PedalHeader.for_algo(Algo.DEFLATE).encode() + payload
+
+    @pytest.fixture
+    def small_ctx(self, env, bf2, run_sim) -> PedalContext:
+        ctx = PedalContext(bf2, PedalConfig(max_message_bytes=64 << 10))
+        run_sim(env, ctx.init())
+        return ctx
+
+    def test_deflate_bomb_raises_typed_error(self, env, small_ctx, run_sim):
+        from repro.errors import OutputOverflowError
+
+        with pytest.raises(OutputOverflowError):
+            run_sim(env, small_ctx.decompress(self._bomb()))
+
+    def test_cache_hit_does_not_bypass_bound(self, env, small_ctx, run_sim):
+        from repro.core.codecs import real_decompress
+        from repro.core.header import HEADER_SIZE
+        from repro.errors import OutputOverflowError
+
+        message = self._bomb()
+        data, _ = real_decompress(Algo.DEFLATE, message[HEADER_SIZE:])
+        assert len(data) == 1 << 20  # unbounded decode is now cached
+        with pytest.raises(OutputOverflowError):
+            run_sim(env, small_ctx.decompress(message))
+
+    def test_within_bound_still_decodes(self, env, small_ctx, run_sim, text_payload):
+        comp = run_sim(env, small_ctx.compress(text_payload, "SoC_DEFLATE"))
+        dec = run_sim(env, small_ctx.decompress(comp.message))
+        assert dec.data == text_payload
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        label=st.sampled_from(
+            ["SoC_DEFLATE", "C-Engine_DEFLATE", "SoC_zlib", "SoC_LZ4"]
+        ),
+        cut=st.integers(min_value=0, max_value=1 << 16),
+        flips=st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(0, 7)), max_size=3
+        ),
+    )
+    def test_mutated_messages_fail_typed_or_within_bound(self, label, cut, flips):
+        # Composed path: header -> memo cache -> codec.  Whatever the
+        # bytes, decompress either returns at most max_message_bytes or
+        # raises a library error; a hit on an earlier cached decode
+        # takes the same route.
+        from repro.dpu import make_device
+        from repro.errors import ReproError
+        from repro.sim import Environment
+
+        env = Environment()
+
+        def drive(gen):
+            return env.run(until=env.process(gen))
+
+        ctx = PedalContext(make_device(env, "bf2"), PedalConfig(max_message_bytes=4096))
+        drive(ctx.init())
+        text = (b"the quick brown fox jumps over the lazy dog. " * 90)[:4000]
+        message = bytearray(drive(ctx.compress(text, label)).message)
+        del message[max(len(message) - cut, 4):]
+        for pos, bit in flips:
+            message[3 + pos % (len(message) - 3)] ^= 1 << bit
+        for _ in range(2):
+            try:
+                result = drive(ctx.decompress(bytes(message)))
+            except ReproError:
+                continue
+            assert len(result.data) <= 4096

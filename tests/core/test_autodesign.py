@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.autodesign import choose_design, estimate_ratio, predict_pipeline_time
-from repro.core.designs import design
+from repro.core.designs import LOSSLESS_DESIGNS, LOSSY_DESIGNS, Placement, design
 from repro.dpu import make_device
+from repro.dpu.specs import Direction
+from repro.select import PATH_CENGINE, PATH_SOC, CostModel
 
 
 @pytest.fixture
@@ -60,6 +62,22 @@ class TestPrediction:
                 sender, sender, design(label), 5.1e6, 4.0
             ).compress_seconds
             assert predicted == pytest.approx(comp.sim_seconds, rel=0.05)
+
+
+@pytest.mark.parametrize("size", [4096.0, 5.1e6, 48.85e6])
+@pytest.mark.parametrize("dsg", LOSSLESS_DESIGNS + LOSSY_DESIGNS, ids=lambda d: d.label)
+@pytest.mark.parametrize("kind", ["bf2", "bf3"])
+def test_codec_terms_are_the_select_cost_model(env, kind, dsg, size):
+    device = make_device(env, kind)
+    model = CostModel(device)
+    path = PATH_CENGINE if dsg.placement is Placement.CENGINE else PATH_SOC
+    choice = predict_pipeline_time(device, device, dsg, size, 3.0)
+    for got, direction in (
+        (choice.compress_seconds, Direction.COMPRESS),
+        (choice.decompress_seconds, Direction.DECOMPRESS),
+    ):
+        want = model.path_seconds(dsg.algo, direction, size, path)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestChooser:

@@ -9,9 +9,9 @@ from repro.core.codecs import (
     real_compress,
     real_decompress,
 )
-from repro.core.designs import design
+from repro.core.designs import CompressionDesign, Placement, design
 from repro.dpu.specs import Algo
-from repro.errors import UnsupportedDataError
+from repro.errors import OutputOverflowError, UnsupportedDataError
 
 
 CFG = CodecConfig()
@@ -92,3 +92,27 @@ class TestMemoisation:
         a = real_decompress(Algo.DEFLATE, result.payload)
         b = real_decompress(Algo.DEFLATE, result.payload)
         assert a is b
+
+    def test_cached_sz3_array_is_read_only(self, smooth_field):
+        # Every caller of the same payload shares the cached array, so a
+        # caller must not be able to change what the next one receives.
+        result = real_compress(design("SoC_SZ3"), smooth_field, CFG)
+        first, _ = real_decompress(Algo.SZ3, result.payload)
+        expected = first.copy()
+        with pytest.raises(ValueError):
+            first[0] = 1e9
+        second, _ = real_decompress(Algo.SZ3, result.payload)
+        assert np.array_equal(second, expected)
+
+
+class TestOutputBound:
+    @pytest.mark.parametrize("algo", list(Algo), ids=lambda a: a.value)
+    def test_bound_enforced_on_miss_and_hit(self, algo, text_payload, smooth_field):
+        data = smooth_field if algo is Algo.SZ3 else text_payload
+        payload = real_compress(CompressionDesign(algo, Placement.SOC), data, CFG).payload
+        limit = data.nbytes if algo is Algo.SZ3 else len(data)
+        with pytest.raises(OutputOverflowError):
+            real_decompress(algo, payload, max_output=limit - 1)
+        real_decompress(algo, payload, max_output=limit)  # exact fit
+        with pytest.raises(OutputOverflowError):
+            real_decompress(algo, payload, max_output=limit - 1)

@@ -119,6 +119,46 @@ class TestWriteCodeArray:
         r = BitReader(w.getvalue())
         assert r.read_bits(32) == 0xDEADBEEF
 
+    @staticmethod
+    def _codes(seed: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(0, 20, size=size).astype(np.int64)
+        codes = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+        return codes.astype(np.uint32), lengths
+
+    def test_no_bytes_leak_from_an_earlier_call(self):
+        # A pack buffer must start zeroed: a writer that follows another
+        # writer's call on dense all-ones ("secret") codes emits exactly
+        # what a fresh writer and the scalar reference emit.
+        secret = BitWriter()
+        secret.write_code_array(
+            np.full(4096, 0xFFFFFFFF, np.uint32), np.full(4096, 32, np.int64)
+        )
+        codes, lengths = self._codes(7, 3000)
+        after = BitWriter()
+        after.write_bits(0b101, 3)
+        after.write_code_array(codes, lengths)
+        fresh = BitWriter()
+        fresh.write_bits(0b101, 3)
+        fresh.write_code_array(codes, lengths)
+        scalar = BitWriter()
+        scalar.write_bits(0b101, 3)
+        scalar._write_code_array_scalar(codes, lengths)
+        assert after.getvalue() == fresh.getvalue() == scalar.getvalue()
+
+    def test_interleaved_writers_match_sequential(self):
+        blocks = [self._codes(seed, 257) for seed in range(6)]
+        interleaved = (BitWriter(), BitWriter())
+        for i, (codes, lengths) in enumerate(blocks):
+            interleaved[i % 2].write_code_array(codes, lengths)
+        sequential = (BitWriter(), BitWriter())
+        for which in (0, 1):
+            for codes, lengths in blocks[which::2]:
+                sequential[which].write_code_array(codes, lengths)
+        for got, want in zip(interleaved, sequential):
+            assert got.getvalue() == want.getvalue()
+            assert got.bit_length == want.bit_length
+
 
 class TestBitReader:
     def test_roundtrip_mixed(self):
